@@ -13,6 +13,8 @@ package memory
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"rlsched/internal/grouping"
 )
@@ -36,17 +38,23 @@ type State struct {
 	SiteLoad float64
 }
 
+// features returns the state's fixed-size feature array.
+func (s State) features() [4]float64 {
+	return [4]float64{s.Load, s.FreeSlots, s.MeanPower, s.SiteLoad}
+}
+
 // Vector returns the state as a feature slice (for the neural network).
 func (s State) Vector() []float64 {
-	return []float64{s.Load, s.FreeSlots, s.MeanPower, s.SiteLoad}
+	v := s.features()
+	return v[:]
 }
 
 // distance is a squared Euclidean distance on normalised features.
 func (s State) distance(o State) float64 {
 	d := 0.0
-	a, b := s.Vector(), o.Vector()
+	a, b := s.features(), o.features()
 	for i := range a {
-		scale := math.Max(1, math.Max(math.Abs(a[i]), math.Abs(b[i])))
+		scale := max(1, max(math.Abs(a[i]), math.Abs(b[i])))
 		diff := (a[i] - b[i]) / scale
 		d += diff * diff
 	}
@@ -111,14 +119,11 @@ func (e Experience) LVal() float64 {
 // agent, plus cheap aggregate counters.
 type Shared struct {
 	capacity int
-	perAgent map[int][]Experience
-	// ringMax caches each ring's maximum l_val, letting Best/BestFor
-	// skip whole rings that cannot improve on the running best. With
-	// thousands of agents a lookup would otherwise evaluate every
-	// retained experience — including an Exp call per entry in BestFor —
-	// on every reward regression.
-	ringMax map[int]float64
-	total   uint64
+	// rings holds one ring per agent that has recorded, in ascending
+	// AgentID order. Every lookup and aggregate walks them in that order,
+	// so no result depends on map iteration order.
+	rings []ring
+	total uint64
 	// lookups/hits count Best/BestFor calls and how many found an
 	// experience — the shared-memory hit rate probes report.
 	lookups uint64
@@ -127,6 +132,16 @@ type Shared struct {
 	// occupancy (total − evictions) and eviction pressure are visible in
 	// run stats and /metrics without walking the rings.
 	evictions uint64
+}
+
+// ring is one agent's retained experiences, oldest first, with each
+// entry's l_val cached when it is recorded and the ring's maximum l_val,
+// the bounds that let lookups skip entries and whole rings.
+type ring struct {
+	agent int
+	exps  []Experience
+	lvals []float64
+	max   float64
 }
 
 // NewShared creates a memory with the paper's per-agent capacity.
@@ -138,34 +153,44 @@ func NewSharedWithCapacity(capacity int) *Shared {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("memory: capacity must be positive, got %d", capacity))
 	}
-	return &Shared{
-		capacity: capacity,
-		perAgent: make(map[int][]Experience),
-		ringMax:  make(map[int]float64),
-	}
+	return &Shared{capacity: capacity}
 }
 
 // Capacity returns the per-agent bound.
 func (m *Shared) Capacity() int { return m.capacity }
 
+// find returns the index of agent id's ring, or where it would be
+// inserted, and whether it exists.
+func (m *Shared) find(id int) (int, bool) {
+	i := sort.Search(len(m.rings), func(i int) bool { return m.rings[i].agent >= id })
+	return i, i < len(m.rings) && m.rings[i].agent == id
+}
+
 // Record stores an experience, evicting the agent's oldest entry when the
 // per-agent bound is reached.
 func (m *Shared) Record(e Experience) {
-	ring := m.perAgent[e.AgentID]
-	if len(ring) >= m.capacity {
-		copy(ring, ring[1:])
-		ring = ring[:len(ring)-1]
+	i, ok := m.find(e.AgentID)
+	if !ok {
+		m.rings = slices.Insert(m.rings, i, ring{
+			agent: e.AgentID,
+			exps:  make([]Experience, 0, m.capacity),
+			lvals: make([]float64, 0, m.capacity),
+		})
+	}
+	r := &m.rings[i]
+	if len(r.exps) >= m.capacity {
+		r.exps = append(r.exps[:0], r.exps[1:]...)
+		r.lvals = append(r.lvals[:0], r.lvals[1:]...)
 		m.evictions++
 	}
-	ring = append(ring, e)
-	m.perAgent[e.AgentID] = ring
-	max := math.Inf(-1)
-	for _, r := range ring {
-		if v := r.LVal(); v > max {
-			max = v
+	r.exps = append(r.exps, e)
+	r.lvals = append(r.lvals, e.LVal())
+	r.max = math.Inf(-1)
+	for _, v := range r.lvals {
+		if v > r.max {
+			r.max = v
 		}
 	}
-	m.ringMax[e.AgentID] = max
 	m.total++
 }
 
@@ -177,75 +202,119 @@ func (m *Shared) TotalRecorded() uint64 { return m.total }
 // Len returns the number of currently retained experiences.
 func (m *Shared) Len() int {
 	n := 0
-	for _, ring := range m.perAgent {
-		n += len(ring)
+	for i := range m.rings {
+		n += len(m.rings[i].exps)
 	}
 	return n
 }
 
 // Agents returns the number of agents that have recorded at least once.
-func (m *Shared) Agents() int { return len(m.perAgent) }
+func (m *Shared) Agents() int { return len(m.rings) }
 
 // ForAgent returns the retained experiences of one agent, oldest first.
 // The returned slice is the internal ring; callers must not mutate it.
-func (m *Shared) ForAgent(id int) []Experience { return m.perAgent[id] }
+func (m *Shared) ForAgent(id int) []Experience {
+	if i, ok := m.find(id); ok {
+		return m.rings[i].exps
+	}
+	return nil
+}
+
+// hit is one entry a scan kept: m.rings[ring].exps[pos], with its
+// similarity to the query and its score.
+type hit struct {
+	ring, pos  int
+	sim, score float64
+}
+
+// outranks reports whether entry pos of ring ri, scoring v, ranks above
+// the kept hit h. Rank is score descending, then (AgentID, Cycle)
+// ascending, then the older entry. A scan visits (ring, pos) in
+// ascending order, so on an equal score a newcomer can only win inside
+// h's own ring, by a lower Cycle.
+func (m *Shared) outranks(v float64, ri, pos int, h hit) bool {
+	if v != h.score {
+		return v > h.score
+	}
+	exps := m.rings[ri].exps
+	return h.ring == ri && exps[pos].Cycle < exps[h.pos].Cycle
+}
+
+// scan returns the cap(top) highest-ranked retained entries, best first,
+// in top[:0]. An entry scores sim(s)·l_val when weighted and l_val
+// otherwise; a NaN score never ranks.
+//
+// Similarity lies in [0, 1], so an entry's score is at most l_val, or 0
+// when l_val is negative. Once top is full, a ring whose bound cannot
+// beat the last kept score is skipped whole (it would lose every tie on
+// AgentID), and an entry whose bound cannot outrank the last kept hit is
+// skipped before its distance and exp are computed.
+func (m *Shared) scan(s State, weighted bool, top []hit) []hit {
+	k := cap(top)
+	bound := func(lv float64) float64 {
+		if weighted && lv < 0 {
+			return 0
+		}
+		return lv
+	}
+	for ri := range m.rings {
+		r := &m.rings[ri]
+		if len(top) == k && bound(r.max) <= top[k-1].score {
+			continue
+		}
+		for pos, lv := range r.lvals {
+			if len(top) == k && !m.outranks(bound(lv), ri, pos, top[k-1]) {
+				continue
+			}
+			h := hit{ring: ri, pos: pos, sim: 1, score: lv}
+			if weighted {
+				h.sim = r.exps[pos].State.Similarity(s)
+				h.score = h.sim * lv
+			}
+			if math.IsNaN(h.score) {
+				continue
+			}
+			j := len(top)
+			if j < k {
+				top = top[:j+1]
+			} else if j--; !m.outranks(h.score, ri, pos, top[j]) {
+				continue
+			}
+			for ; j > 0 && m.outranks(h.score, ri, pos, top[j-1]); j-- {
+				top[j] = top[j-1]
+			}
+			top[j] = h
+		}
+	}
+	return top
+}
+
+// lookup is Best (unweighted) or BestFor (weighted): the single
+// top-ranked entry, counted as a lookup and, when found, a hit.
+func (m *Shared) lookup(s State, weighted bool) (Experience, bool) {
+	var buf [1]hit
+	top := m.scan(s, weighted, buf[:0])
+	m.lookups++
+	if len(top) == 0 {
+		return Experience{}, false
+	}
+	m.hits++
+	return m.rings[top[0].ring].exps[top[0].pos], true
+}
 
 // Best returns the retained experience with the maximum learning value
 // across all agents — the lookup the paper prescribes when an agent's
 // reward regresses ("the agent immediately checks and learns the actions
 // from the shared-learning memory — considering the action with the
-// maximum learning value", §IV.C). ok is false when the memory is empty.
-func (m *Shared) Best() (Experience, bool) {
-	var best Experience
-	bestV := math.Inf(-1)
-	found := false
-	for id, ring := range m.perAgent {
-		// A ring whose maximum l_val cannot strictly beat the running
-		// best holds no winner (selection uses strict >), so skip it —
-		// the pruning that keeps lookups cheap at thousands of agents.
-		if found && m.ringMax[id] <= bestV {
-			continue
-		}
-		for _, e := range ring {
-			if v := e.LVal(); v > bestV || (!found && v == bestV) {
-				best, bestV, found = e, v, true
-			}
-		}
-	}
-	m.lookups++
-	if found {
-		m.hits++
-	}
-	return best, found
-}
+// maximum learning value", §IV.C). Ties go to the lowest (AgentID,
+// Cycle). ok is false when the memory is empty.
+func (m *Shared) Best() (Experience, bool) { return m.lookup(State{}, false) }
 
 // BestFor returns the experience maximising similarity-weighted learning
-// value for the given state: sim(state)·l_val. This lets agents prefer
-// remembered actions taken under circumstances like the present one.
-func (m *Shared) BestFor(s State) (Experience, bool) {
-	var best Experience
-	bestV := math.Inf(-1)
-	found := false
-	for id, ring := range m.perAgent {
-		// Similarity lies in (0, 1], so sim·l_val is bounded above by
-		// the ring's maximum l_val when positive and by 0 otherwise;
-		// rings that cannot strictly beat the running best are skipped
-		// without evaluating a single similarity.
-		if found && math.Max(m.ringMax[id], 0) <= bestV {
-			continue
-		}
-		for _, e := range ring {
-			if v := e.State.Similarity(s) * e.LVal(); v > bestV || (!found && v == bestV) {
-				best, bestV, found = e, v, true
-			}
-		}
-	}
-	m.lookups++
-	if found {
-		m.hits++
-	}
-	return best, found
-}
+// value for the given state: sim(state)·l_val, ties going to the lowest
+// (AgentID, Cycle). This lets agents prefer remembered actions taken
+// under circumstances like the present one.
+func (m *Shared) BestFor(s State) (Experience, bool) { return m.lookup(s, true) }
 
 // Candidate is one retained experience scored against a query state —
 // the decision-audit view of a BestFor scan. Score is the selection
@@ -260,53 +329,26 @@ type Candidate struct {
 }
 
 // TopFor returns the k highest-scoring candidates for the given state,
-// best first, appended to out (which may be nil). Ties are broken by
-// (AgentID, Cycle) so the result is deterministic regardless of map
-// iteration order. TopFor is an audit-only observation: it does not
-// touch the lookup/hit counters, and it never prunes, so it may see
-// candidates a pruned BestFor scan skipped — but the top entry always
-// scores at least as high as BestFor's winner.
+// best first, appended to out (which may be nil). It ranks exactly as
+// BestFor does — score, then the lowest (AgentID, Cycle) — so its first
+// candidate is always BestFor's winner. TopFor is an audit-only
+// observation: it does not touch the lookup/hit counters.
 func (m *Shared) TopFor(s State, k int, out []Candidate) []Candidate {
+	k = min(k, m.Len())
 	if k <= 0 {
 		return out
 	}
-	base := len(out)
-	better := func(a, b Candidate) bool {
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if a.AgentID != b.AgentID {
-			return a.AgentID < b.AgentID
-		}
-		return a.Cycle < b.Cycle
-	}
-	for id, ring := range m.perAgent {
-		for _, e := range ring {
-			c := Candidate{
-				AgentID:    id,
-				Cycle:      e.Cycle,
-				Action:     e.Action,
-				Similarity: e.State.Similarity(s),
-				LVal:       e.LVal(),
-			}
-			c.Score = c.Similarity * c.LVal
-			if math.IsNaN(c.Score) {
-				continue
-			}
-			if len(out)-base == k && !better(c, out[len(out)-1]) {
-				continue
-			}
-			// Insertion sort into the bounded tail; k is small.
-			pos := len(out)
-			for pos > base && better(c, out[pos-1]) {
-				pos--
-			}
-			if len(out)-base < k {
-				out = append(out, Candidate{})
-			}
-			copy(out[pos+1:], out[pos:])
-			out[pos] = c
-		}
+	for _, h := range m.scan(s, true, make([]hit, 0, k)) {
+		r := &m.rings[h.ring]
+		e := &r.exps[h.pos]
+		out = append(out, Candidate{
+			AgentID:    e.AgentID,
+			Cycle:      e.Cycle,
+			Action:     e.Action,
+			Similarity: h.sim,
+			LVal:       r.lvals[h.pos],
+			Score:      h.score,
+		})
 	}
 	return out
 }
@@ -324,9 +366,9 @@ func (m *Shared) BestAction(s State, def Action) Action {
 // (0 when empty) — a convergence indicator used by reports.
 func (m *Shared) MeanLVal() float64 {
 	sum, n := 0.0, 0
-	for _, ring := range m.perAgent {
-		for _, e := range ring {
-			sum += e.LVal()
+	for i := range m.rings {
+		for _, v := range m.rings[i].lvals {
+			sum += v
 			n++
 		}
 	}
@@ -336,13 +378,14 @@ func (m *Shared) MeanLVal() float64 {
 	return sum / float64(n)
 }
 
-// meanField averages one Experience field over retained experiences,
-// skipping non-finite values (an unmeasurable turnaround estimate
-// records an infinite error) so the mean stays representable in JSON.
+// meanField averages one Experience field over retained experiences in
+// agent order, skipping non-finite values (an unmeasurable turnaround
+// estimate records an infinite error) so the mean stays representable in
+// JSON.
 func (m *Shared) meanField(get func(Experience) float64) float64 {
 	sum, n := 0.0, 0
-	for _, ring := range m.perAgent {
-		for _, e := range ring {
+	for i := range m.rings {
+		for _, e := range m.rings[i].exps {
 			v := get(e)
 			if math.IsInf(v, 0) || math.IsNaN(v) {
 				continue
